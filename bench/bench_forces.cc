@@ -103,9 +103,11 @@ int Run() {
         });
       });
 
-  // B: pair-symmetric engine. Half-stencil traversal computes each pair
-  // force once; the flush folds the per-thread partials.
-  PairForceAccumulator accumulator;
+  // B: pair-symmetric engine's generic source. Half-stencil traversal
+  // computes each pair force once (virtual InteractionForce::Calculate);
+  // the flush folds the per-thread partials of B's own shard set.
+  SoaStore::ForceShards pair_shards;
+  PairForceAccumulator accumulator(pair_shards);
   std::vector<Real3> disp_b(count);
   std::vector<int> nzf_b(count, 0);
   std::vector<Real3> momentum(pool.NumThreads());
@@ -185,18 +187,10 @@ int Run() {
             ++non_zero[j];
           });
     });
-    const int num_shards = shards.num_shards();
     pool.RunSlabs(slabs, [&](int64_t lo, int64_t hi, int tid) {
       for (int64_t i = lo; i < hi; ++i) {
-        Real3 sum{};
-        uint32_t nz = 0;
-        for (int t = 0; t < num_shards; ++t) {
-          const SoaStore::ForceShard& shard = shards.shard(t);
-          sum.x += shard.fx[i];
-          sum.y += shard.fy[i];
-          sum.z += shard.fz[i];
-          nz += shard.non_zero[i];
-        }
+        Real3 sum;
+        const uint32_t nz = shards.Fold(static_cast<uint64_t>(i), &sum);
         if (nz == 0) {
           disp_c[i] = {0, 0, 0};
           nzf_c[i] = 0;

@@ -8,7 +8,6 @@
 #define BDM_CORE_DEFAULT_OPS_H_
 
 #include "core/operation.h"
-#include "physics/pair_force_accumulator.h"
 
 namespace bdm {
 
@@ -16,8 +15,8 @@ namespace bdm {
 class UpdateEnvironmentOp : public StandaloneOperation {
  public:
   UpdateEnvironmentOp() : StandaloneOperation("environment_update", 1) {
-    // Reads geometry/population to rebuild the index; with the SoA-primary
-    // store it also refreshes the store arrays (a geometry write).
+    // Reads geometry/population to rebuild the index; it also refreshes
+    // the SoA store arrays the uniform grid indexes (a geometry write).
     DeclareResources(kResAgentsGeometry | kResPopulation,
                      kResGrid | kResAgentsGeometry);
   }
@@ -49,8 +48,10 @@ class BehaviorOp : public AgentOperation {
 
 /// Computes pairwise collision forces and applies the resulting
 /// displacement; honors the static-agent shortcut (Section 5). This is the
-/// per-agent reference path: every pair force is computed twice, once from
-/// each endpoint. Scheduled when param.pair_symmetric_forces is off.
+/// paper's per-agent "standard implementation": every pair force is
+/// computed twice, once from each endpoint. Scheduled when
+/// param.pair_symmetric_forces is off; otherwise the pair-symmetric
+/// MechanicsFusedOp (physics/mechanics_fused_op.h) takes the slot.
 class MechanicalForcesOp : public AgentOperation {
  public:
   MechanicalForcesOp() : AgentOperation("mechanical_forces", 1) {
@@ -60,30 +61,10 @@ class MechanicalForcesOp : public AgentOperation {
   void Run(Agent* agent, AgentHandle handle, int tid, Simulation* sim) override;
 };
 
-/// Pair-symmetric mechanics engine: computes every pairwise force ONCE via
-/// the environment's half-stencil pair traversal, scatters +F/-F into
-/// per-thread accumulators, and applies displacements in one NUMA-aware
-/// reduction pass. Scheduled (as a standalone operation right after the
-/// agent loop, keeping the pipeline order behaviors -> mechanics ->
-/// diffusion -> commit) when param.pair_symmetric_forces is on. Shares the
-/// per-agent path's name so pipeline surgery such as
-/// RemoveOp("mechanical_forces") works against either engine.
-///
-/// Falls back to the per-agent path for the whole iteration when any agent
-/// carries custom mechanics (Agent::HasCustomMechanics -- neurite springs
-/// and kin exclusions are not expressible as symmetric pair forces) or when
-/// the environment exposes no dense agent index.
-class MechanicalForcesPairOp : public StandaloneOperation {
- public:
-  MechanicalForcesPairOp() : StandaloneOperation("mechanical_forces", 1) {
-    DeclareResources(kResGrid | kResAgentsGeometry,
-                     kResAgentsGeometry | kResForces);
-  }
-  void Run(Simulation* sim) override;
-
- private:
-  PairForceAccumulator accumulator_;
-};
+/// One agent's per-agent mechanics step (MechanicalForcesOp's body). Also
+/// MechanicsFusedOp's route for every agent while any agent carries custom
+/// mechanics.
+void RunPerAgentMechanics(Agent* agent, Simulation* sim);
 
 /// Advances all registered diffusion grids by param.dt.
 class DiffusionOp : public StandaloneOperation {

@@ -57,19 +57,12 @@ struct Param {
   bool use_bdm_memory_manager = true;
   /// O6: skip collision forces for provably static agents (Section 5).
   bool detect_static_agents = false;
-  /// Pair-symmetric mechanics: compute every pairwise collision force once
-  /// (half-stencil pair traversal + per-thread accumulators) instead of
-  /// twice, exploiting Newton's third law. When false, the per-agent
-  /// reference path (Cell::CalculateDisplacement per agent) runs instead.
+  /// Pair-symmetric mechanics (physics/mechanics_fused_op.h): compute every
+  /// pairwise collision force once (pair traversal + per-thread force
+  /// shards over the SoA store) instead of twice, exploiting Newton's third
+  /// law. When false, the paper's per-agent path (Cell::CalculateDisplacement
+  /// per agent) runs instead.
   bool pair_symmetric_forces = true;
-  /// SoA-primary mechanics: the persistent SoA store (core/soa_store.h) is
-  /// the working copy of agent geometry -- the uniform grid reads it instead
-  /// of filling a private mirror, and (with pair_symmetric_forces) the fused
-  /// MechanicsFusedOp runs pair forces + displacement integration over the
-  /// store arrays, writing AoS positions back in the same pass. When false,
-  /// every consumer keeps its own per-iteration gather; that path is the
-  /// bitwise A/B reference for the fused one.
-  bool soa_primary = true;
   /// Operation DAG execution (core/op_dag.h): derive dependencies between
   /// the scheduler's due operations from their declared resource footprints
   /// and run independent ones concurrently on disjoint worker teams of the

@@ -1,13 +1,12 @@
 // Persistent NUMA-domain-segmented SoA store of agent state (ISSUE 6).
 //
-// Before this store, three engine components each kept a private SoA copy of
-// agent geometry and rebuilt it from the AoS Agent objects every iteration:
-// the uniform grid's mirror, the pair engine's force scatter buffers, and
-// the offload op's per-call gather. The GPU port of BioDynaMo (Hesam et al.,
-// arXiv 2105.00039) makes the case that the gather->kernel->scatter shape
-// only pays off when the SoA arrays persist across iterations; TeraAgent
-// (arXiv 2509.24063) serializes exactly such flat per-attribute arrays. This
-// class is that single persistent store:
+// The engine's one SoA copy of agent geometry: the uniform grid indexes it
+// and the mechanics engine reads, scatters and writes back through it. The
+// GPU port of BioDynaMo (Hesam et al., arXiv 2105.00039) makes the case that
+// the gather->kernel->scatter shape only pays off when the SoA arrays
+// persist across iterations; TeraAgent (arXiv 2509.24063) serializes
+// exactly such flat per-attribute arrays. This class is that single
+// persistent store:
 //
 //  * Owned by the ResourceManager, one per simulation.
 //  * Layout is domain-major: domain d's agents occupy the contiguous dense
@@ -21,13 +20,12 @@
 //    objects only happens after structural changes the commit protocol does
 //    not cover (direct AddAgent, agent sorting) -- counted separately by the
 //    soa/full_rebuilds vs soa/incremental_updates metrics.
-//  * The fused mechanics op writes displaced positions back to both the
-//    store arrays and the AoS Agent in the same pass (the "write-back
-//    point"), so a quiescent population costs zero gather work per step.
+//  * The mechanics op writes displaced positions back to both the store
+//    arrays and the AoS Agent in the same pass (the "write-back point"), so
+//    a quiescent population costs zero gather work per step.
 //
-// The per-thread force scatter shards live here too (moved out of
-// PairForceAccumulator) so the pair engine and the fused op share one set of
-// buffers instead of maintaining duplicates.
+// The per-thread force scatter shards live here too, so both pair sources
+// of the mechanics op scatter into one set of buffers.
 #ifndef BDM_CORE_SOA_STORE_H_
 #define BDM_CORE_SOA_STORE_H_
 
@@ -56,8 +54,8 @@ class SoaStore {
     AlignedBuffer<uint32_t> non_zero;
   };
 
-  /// The per-thread shard set shared by PairForceAccumulator and
-  /// MechanicsFusedOp. Buffers keep 1.5x headroom so a growing population
+  /// The per-thread shard set both pair sources of MechanicsFusedOp
+  /// scatter into. Buffers keep 1.5x headroom so a growing population
   /// does not reallocate every iteration; contents are NOT zeroed here --
   /// each worker zeroes (first-touches) its own shard inside the parallel
   /// region, which also places the pages on the worker's NUMA node.
@@ -68,6 +66,22 @@ class SoaStore {
     const ForceShard& shard(int t) const { return shards_[t]; }
     int num_shards() const { return static_cast<int>(shards_.size()); }
     uint64_t Bytes() const;
+
+    /// Folds dense index `i` over all shards in shard order (the fixed
+    /// summation order the bitwise contracts rely on): writes the total
+    /// force to `sum` and returns the total non-zero-force count.
+    uint32_t Fold(uint64_t i, Real3* sum) const {
+      Real3 total{};
+      uint32_t non_zero = 0;
+      for (const ForceShard& shard : shards_) {
+        total.x += shard.fx[i];
+        total.y += shard.fy[i];
+        total.z += shard.fz[i];
+        non_zero += shard.non_zero[i];
+      }
+      *sum = total;
+      return non_zero;
+    }
 
    private:
     std::vector<ForceShard> shards_;

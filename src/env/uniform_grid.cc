@@ -25,8 +25,8 @@ struct GridMetrics {
       MetricsRegistry::Get().RegisterCounter("env.neighbor_pair_visits");
   int num_boxes = MetricsRegistry::Get().RegisterGauge("env.grid_num_boxes");
   int box_length = MetricsRegistry::Get().RegisterGauge("env.grid_box_length");
-  int mirror_bytes =
-      MetricsRegistry::Get().RegisterGauge("env.grid_mirror_bytes");
+  int index_bytes =
+      MetricsRegistry::Get().RegisterGauge("env.grid_index_bytes");
 };
 
 const GridMetrics& Metrics() {
@@ -50,87 +50,38 @@ void UniformGridEnvironment::Update(const ResourceManager& rm,
                                     NumaThreadPool* pool) {
   const uint64_t total = rm.GetNumAgents();
   successors_.resize(total);
-  const bool store_mode = param_->soa_primary;
-  if (store_mode) {
-    // SoA-primary: refresh the persistent store (incremental -- a quiescent
-    // population costs nothing here) and point the search views at it. The
-    // grid keeps no copy of its own.
-    SoaStore& store = rm.GetSoaStore();
-    store.EnsureCurrent(rm, pool);
-    flat_agents_ = store.agents();
-    pos_x_ = store.pos_x();
-    pos_y_ = store.pos_y();
-    pos_z_ = store.pos_z();
-    diameters_ = store.diameter();
-  } else {
-    own_agents_.resize(total);
-    own_pos_x_.resize(total);
-    own_pos_y_.resize(total);
-    own_pos_z_.resize(total);
-    own_diameters_.resize(total);
-    flat_agents_ = own_agents_.data();
-    pos_x_ = own_pos_x_.data();
-    pos_y_ = own_pos_y_.data();
-    pos_z_ = own_pos_z_.data();
-    diameters_ = own_diameters_.data();
-  }
+  // Refresh the persistent SoA store (incremental -- a quiescent population
+  // costs nothing here) and point the search views at it. The grid keeps no
+  // geometry copy of its own.
+  SoaStore& store = rm.GetSoaStore();
+  store.EnsureCurrent(rm, pool);
+  flat_agents_ = store.agents();
+  pos_x_ = store.pos_x();
+  pos_y_ = store.pos_y();
+  pos_z_ = store.pos_z();
+  diameters_ = store.diameter();
   dense_count_ = total;
   if (total == 0) {
     nx_ = ny_ = nz_ = 0;
     return;
   }
 
+  // The store already holds the geometry; only the bounding box and the
+  // largest diameter must be reduced, over contiguous arrays.
   std::vector<BoundsPartial> partials(pool->NumThreads() + 1);
-  if (store_mode) {
-    // The store already holds the geometry; only the bounding box and the
-    // largest diameter must be reduced, over contiguous arrays.
-    const auto slabs = pool->MakeSlabPartition(0, static_cast<int64_t>(total));
-    pool->RunSlabs(slabs, [&](int64_t lo, int64_t hi, int tid) {
-      BoundsPartial& p = partials[tid + 1];
-      for (int64_t i = lo; i < hi; ++i) {
-        p.lower.x = std::min(p.lower.x, pos_x_[i]);
-        p.lower.y = std::min(p.lower.y, pos_y_[i]);
-        p.lower.z = std::min(p.lower.z, pos_z_[i]);
-        p.upper.x = std::max(p.upper.x, pos_x_[i]);
-        p.upper.y = std::max(p.upper.y, pos_y_[i]);
-        p.upper.z = std::max(p.upper.z, pos_z_[i]);
-        p.largest_diameter = std::max(p.largest_diameter, diameters_[i]);
-      }
-    });
-  } else {
-    // Legacy mode: flatten the per-domain vectors -- agent pointers plus the
-    // SoA mirror of position and diameter -- and reduce bounding box plus
-    // largest diameter in one parallel pass. Domain-major order keeps the
-    // mirror NUMA-ordered like the flat agent array.
-    std::vector<uint64_t> domain_offset(rm.GetNumDomains() + 1, 0);
-    for (int d = 0; d < rm.GetNumDomains(); ++d) {
-      domain_offset[d + 1] = domain_offset[d] + rm.GetNumAgents(d);
+  const auto slabs = pool->MakeSlabPartition(0, static_cast<int64_t>(total));
+  pool->RunSlabs(slabs, [&](int64_t lo, int64_t hi, int tid) {
+    BoundsPartial& p = partials[tid + 1];
+    for (int64_t i = lo; i < hi; ++i) {
+      p.lower.x = std::min(p.lower.x, pos_x_[i]);
+      p.lower.y = std::min(p.lower.y, pos_y_[i]);
+      p.lower.z = std::min(p.lower.z, pos_z_[i]);
+      p.upper.x = std::max(p.upper.x, pos_x_[i]);
+      p.upper.y = std::max(p.upper.y, pos_y_[i]);
+      p.upper.z = std::max(p.upper.z, pos_z_[i]);
+      p.largest_diameter = std::max(p.largest_diameter, diameters_[i]);
     }
-    for (int d = 0; d < rm.GetNumDomains(); ++d) {
-      const auto& agents = rm.GetAgentVector(d);
-      const uint64_t offset = domain_offset[d];
-      pool->ParallelFor(
-          0, static_cast<int64_t>(agents.size()), 4096,
-          [&](int64_t lo, int64_t hi, int tid) {
-            BoundsPartial& p = partials[tid + 1];
-            for (int64_t i = lo; i < hi; ++i) {
-              Agent* agent = agents[i];
-              own_agents_[offset + i] = agent;
-              const Real3& pos = agent->GetPosition();
-              const real_t diameter = agent->GetDiameter();
-              own_pos_x_[offset + i] = pos.x;
-              own_pos_y_[offset + i] = pos.y;
-              own_pos_z_[offset + i] = pos.z;
-              own_diameters_[offset + i] = diameter;
-              for (int c = 0; c < 3; ++c) {
-                p.lower[c] = std::min(p.lower[c], pos[c]);
-                p.upper[c] = std::max(p.upper[c], pos[c]);
-              }
-              p.largest_diameter = std::max(p.largest_diameter, diameter);
-            }
-          });
-    }
-  }
+  });
   BoundsPartial result;
   for (const BoundsPartial& p : partials) {
     for (int c = 0; c < 3; ++c) {
@@ -229,7 +180,7 @@ void UniformGridEnvironment::Update(const ResourceManager& rm,
 
   // Assign all agents to boxes in parallel. The packed word makes the
   // "stale box" reset and the list push one atomic CAS. Box coordinates
-  // come from the just-filled SoA mirror, not the agent.
+  // come from the store arrays, not the agent.
   pool->ParallelFor(
       0, static_cast<int64_t>(total), 4096, [&](int64_t lo, int64_t hi, int) {
         for (int64_t i = lo; i < hi; ++i) {
@@ -254,14 +205,14 @@ void UniformGridEnvironment::Update(const ResourceManager& rm,
       });
 
   if (MetricsRegistry::Enabled()) {
-    // Rebuild + SoA-mirror volume: once per Update, on the calling thread.
+    // Rebuild + index volume: once per Update, on the calling thread.
     auto& registry = MetricsRegistry::Get();
     const GridMetrics& ids = Metrics();
     registry.Add(ids.rebuilds, 1);
     registry.Add(ids.agents_indexed, total);
     registry.SetGauge(ids.num_boxes, static_cast<double>(num_boxes));
     registry.SetGauge(ids.box_length, static_cast<double>(box_length_));
-    registry.SetGauge(ids.mirror_bytes,
+    registry.SetGauge(ids.index_bytes,
                       static_cast<double>(MemoryFootprint()));
   }
 }
@@ -337,9 +288,9 @@ void UniformGridEnvironment::ForEachNeighborData(const Agent& query,
 //    3x3x3 cube (radius <= box length). Exactly one of the two coordinate
 //    deltas is lexicographically positive, so exactly one endpoint scans the
 //    other's box through the forward half stencil.
-// Each worker owns one contiguous slab of dense indices (the same
-// NUMA-ordered layout the flatten pass produced), so a domain's threads
-// read mostly their own domain's mirror entries.
+// Each worker owns one contiguous slab of dense indices (the store's
+// domain-major layout), so a domain's threads read mostly their own
+// domain's entries.
 void UniformGridEnvironment::ForEachNeighborPair(real_t squared_radius,
                                                  NumaThreadPool* pool,
                                                  NeighborPairFn fn) const {
@@ -462,14 +413,11 @@ void UniformGridEnvironment::AuditConsistency(
 }
 
 size_t UniformGridEnvironment::MemoryFootprint() const {
-  // Grid-owned bytes only. In SoA-primary mode the attribute arrays belong
-  // to the shared SoaStore (reported by the soa/mirror_bytes gauge), so the
-  // legacy mirror vectors below stay at capacity zero.
+  // Grid-owned bytes only: the box array and the successor chains. The
+  // attribute arrays belong to the shared SoaStore (reported by the
+  // soa/mirror_bytes gauge).
   return boxes_.size() * sizeof(uint64_t) +
-         successors_.capacity() * sizeof(uint32_t) +
-         own_agents_.capacity() * sizeof(Agent*) +
-         (own_pos_x_.capacity() + own_pos_y_.capacity() +
-          own_pos_z_.capacity() + own_diameters_.capacity()) * sizeof(real_t);
+         successors_.capacity() * sizeof(uint32_t);
 }
 
 }  // namespace bdm

@@ -14,15 +14,13 @@
 //  * Searches visit the 3x3x3 cube of boxes around the query box (more rings
 //    when the query radius exceeds the box length).
 //  * Search-critical attributes (position, diameter) are served from flat
-//    SoA arrays. In SoA-primary mode (Param::soa_primary) these are views
-//    into the ResourceManager's persistent SoaStore -- Update only refreshes
-//    the store incrementally (core/soa_store.h) instead of re-gathering from
-//    the Agent objects. In legacy mode the grid fills its own private mirror
-//    in a NUMA-ordered flatten pass (the pre-store behavior, kept as the A/B
-//    reference). Either way the candidate reject path of a search reads only
-//    contiguous arrays -- it never dereferences an `Agent*` into a large
-//    polymorphic object (O1/O4 cache discipline; the GPU port of BioDynaMo
-//    relies on the identical layout). Accepted candidates of the plain
+//    SoA arrays: views into the ResourceManager's persistent SoaStore.
+//    Update only refreshes the store incrementally (core/soa_store.h)
+//    instead of re-gathering from the Agent objects, so the candidate
+//    reject path of a search reads only contiguous arrays -- it never
+//    dereferences an `Agent*` into a large polymorphic object (O1/O4 cache
+//    discipline; the GPU port of BioDynaMo relies on the identical
+//    layout). Accepted candidates of the plain
 //    ForEachNeighbor overloads are confirmed against the agent's current
 //    position (see uniform_grid.cc); the index-aware ForEachNeighborData
 //    path serves the snapshot geometry directly.
@@ -201,7 +199,7 @@ class UniformGridEnvironment : public Environment {
   void CountPairVisits(uint64_t pairs_visited) const;
 
   /// Scans one box, invoking `emit(flat_agent_index, d2)` for every agent
-  /// within the radius. The reject path touches only the SoA mirrors;
+  /// within the radius. The reject path touches only the SoA arrays;
   /// `flat_agents_` is read (for the exclusion compare) only after the
   /// distance test passed.
   template <typename Emit>
@@ -285,23 +283,14 @@ class UniformGridEnvironment : public Environment {
 
   std::vector<std::atomic<uint64_t>> boxes_;
   std::vector<uint32_t> successors_;
-  // Views over the search-critical SoA attributes. SoA-primary mode points
-  // them into the ResourceManager's persistent SoaStore; legacy mode into
-  // the grid-owned mirror vectors below. All search templates read through
-  // these, so both modes share one code path.
+  // Views over the search-critical SoA attributes in the ResourceManager's
+  // persistent SoaStore, refreshed by every Update.
   Agent* const* flat_agents_ = nullptr;
   const real_t* pos_x_ = nullptr;
   const real_t* pos_y_ = nullptr;
   const real_t* pos_z_ = nullptr;
   const real_t* diameters_ = nullptr;
   uint64_t dense_count_ = 0;
-  // Legacy private mirror (Param::soa_primary == false), filled by Update in
-  // one NUMA-ordered flatten pass.
-  std::vector<Agent*> own_agents_;
-  std::vector<real_t> own_pos_x_;
-  std::vector<real_t> own_pos_y_;
-  std::vector<real_t> own_pos_z_;
-  std::vector<real_t> own_diameters_;
   // Flat-index offsets of the 3x3x3 cube around an interior box.
   std::array<int64_t, 27> stencil_{};
   // The 13 offsets whose (dz, dy, dx) triple is lexicographically positive:

@@ -1,55 +1,61 @@
-// Fused SoA mechanics engine (ISSUE 6 tentpole).
+// The pair-symmetric mechanics engine: every interacting pair's force is
+// computed ONCE and scattered +F/-F into per-thread force shards (the
+// store's SoaStore::force_shards()), then one slab-partitioned pass folds
+// the shards and integrates the displacement. On the persistent SoA store
+// this is the gather->kernel->scatter structure of BioDynaMo's GPU port
+// (Hesam et al., arXiv 2105.00039), run on the CPU pool.
 //
-// Replaces MechanicalForcesPairOp in the pipeline when param.soa_primary is
-// on: the same half-stencil pair traversal and slab-partitioned reduction,
-// but run directly over the ResourceManager's persistent SoaStore arrays in
-// two fused dispatches instead of four:
+// One of two pair sources fills the shards:
 //
-//   Stage A (one pool->Run): each worker zeroes its own force shard and then
-//     traverses its slab of the dense index space, evaluating the branch-free
-//     sphere force kernel (physics/force_kernel.h) straight off the store's
-//     position/diameter arrays and scattering +F/-F into its shard. Fusing
-//     the zeroing into the traversal dispatch removes one barrier and keeps
-//     the shard pages hot in the worker's cache when the scatter begins.
-//   Stage B (one RunSlabs): fold the per-thread shards, apply the staticness
-//     skip / wake / threshold / clamp ladder of the reference engine, and
-//     write the displaced position to BOTH the AoS Agent (CommitEnginePosition)
-//     and the store arrays (WriteBackPosition) -- the write-back point that
-//     keeps the store current without a next-iteration refresh pass.
+//   Fast source (uniform grid over the live store, base InteractionForce,
+//     radius within one box): one pool->RunSlots in which each worker zeroes
+//     its own shard and then traverses its slab of the dense index space
+//     (UniformGridEnvironment::ForEachNeighborPairInSlab), evaluating the
+//     inlined branch-free sphere kernel (physics/force_kernel.h) straight
+//     off the store's position/diameter arrays. Fusing the zeroing into the
+//     traversal dispatch removes one barrier and keeps the shard pages hot
+//     in the worker's cache when the scatter begins.
+//   Generic source (everything else: kd-tree/octree, a subclassed force
+//     such as type-dependent adhesion, a radius beyond the box length):
+//     PairForceAccumulator over Environment::ForEachNeighborPair with the
+//     virtual InteractionForce::Calculate.
 //
-// Bitwise contract: with a single worker thread, trajectories are bitwise
-// identical to MechanicalForcesPairOp's (same kernel header, same shard fold
-// order, same callback ladder). With multiple workers the CAS insert order
-// of the grid build makes pair order -- and thus flush summation order --
-// timing-dependent in BOTH engines, so equality is only up to FP
+// Both sources then share one fold + O6 ladder (one RunSlabs): fold the
+// shards, then static skip -> wake -> threshold -> clamp -> displace. When
+// the environment indexes the store, the displaced position is written to
+// BOTH the AoS Agent (CommitEnginePosition) and the store arrays
+// (WriteBackPosition) -- the write-back point that keeps the store current
+// without a next-iteration refresh pass; over any other index it goes
+// through Agent::ApplyDisplacement.
+//
+// Bitwise contract: with a single worker thread the two sources produce
+// bitwise-identical trajectories on the uniform grid (same pair order, same
+// kernel grouping -- InteractionForce::Calculate calls the same kernel
+// header -- same shard fold order, same ladder). With multiple workers the
+// CAS insert order of the grid build makes pair order -- and thus fold
+// summation order -- timing-dependent, so equality is only up to FP
 // associativity there.
 //
-// Falls back to the wrapped MechanicalForcesPairOp (which itself can fall
-// back to the per-agent path) whenever a fast-path precondition fails: the
-// environment is not the uniform grid, the store is not live, an agent
-// carries custom mechanics, or the interaction force is subclassed (the
-// fused kernel inlines the base force; an AdhesionScale override needs the
-// virtual Calculate).
+// While any agent carries custom mechanics (Agent::HasCustomMechanics --
+// neurite springs and kin exclusions are not symmetric pair forces), or the
+// environment exposes no dense index, the whole iteration runs the
+// per-agent path (RunPerAgentMechanics) instead.
 #ifndef BDM_PHYSICS_MECHANICS_FUSED_OP_H_
 #define BDM_PHYSICS_MECHANICS_FUSED_OP_H_
 
-#include "core/default_ops.h"
 #include "core/operation.h"
 
 namespace bdm {
 
 class MechanicsFusedOp : public StandaloneOperation {
  public:
-  /// Shares the reference engines' op name so pipeline surgery such as
-  /// RemoveOp("mechanical_forces") works against any mechanics engine.
+  /// Shares the per-agent engine's op name so pipeline surgery such as
+  /// RemoveOp("mechanical_forces") works against either engine.
   MechanicsFusedOp() : StandaloneOperation("mechanical_forces", 1) {
     DeclareResources(kResGrid | kResAgentsGeometry,
                      kResAgentsGeometry | kResForces);
   }
   void Run(Simulation* sim) override;
-
- private:
-  MechanicalForcesPairOp fallback_;
 };
 
 }  // namespace bdm

@@ -27,14 +27,12 @@ const PairMetrics& Metrics() {
 void PairForceAccumulator::Accumulate(const Environment& env,
                                       const InteractionForce& force,
                                       real_t squared_radius, bool skip_static,
-                                      NumaThreadPool* pool,
-                                      SoaStore::ForceShards* shared_shards) {
+                                      NumaThreadPool* pool) {
   const uint64_t total = env.DenseAgentCount();
   size_ = total;
-  active_ = shared_shards != nullptr ? shared_shards : &owned_;
   // Reserve-without-touching: the zeroing pass below (run by the owning
   // worker) first-touches fresh pages on the owner's NUMA domain.
-  active_->Ensure(pool->NumThreads(), total);
+  shards_.Ensure(pool->NumThreads(), total);
   if (total == 0) {
     return;
   }
@@ -44,7 +42,7 @@ void PairForceAccumulator::Accumulate(const Environment& env,
   // regardless of team size). No barrier against the traversal is needed
   // because no thread writes a shard another thread is clearing.
   pool->RunSlots(pool->NumThreads(), [&](int tid) {
-    SoaStore::ForceShard& shard = active_->shard(tid);
+    SoaStore::ForceShard& shard = shards_.shard(tid);
     std::memset(shard.fx.data(), 0, total * sizeof(real_t));
     std::memset(shard.fy.data(), 0, total * sizeof(real_t));
     std::memset(shard.fz.data(), 0, total * sizeof(real_t));
@@ -68,7 +66,7 @@ void PairForceAccumulator::Accumulate(const Environment& env,
         if (f.SquaredNorm() == 0) {
           return;
         }
-        SoaStore::ForceShard& shard = active_->shard(tid);
+        SoaStore::ForceShard& shard = shards_.shard(tid);
         shard.fx[pair.a_index] += f.x;
         shard.fy[pair.a_index] += f.y;
         shard.fz[pair.a_index] += f.z;
@@ -81,23 +79,14 @@ void PairForceAccumulator::Accumulate(const Environment& env,
 }
 
 void PairForceAccumulator::Flush(NumaThreadPool* pool, FlushFn fn) const {
-  if (size_ == 0 || active_ == nullptr) {
+  if (size_ == 0) {
     return;
   }
-  const SoaStore::ForceShards& shards = *active_;
-  const int num_shards = shards.num_shards();
   const auto slabs = pool->MakeSlabPartition(0, static_cast<int64_t>(size_));
   pool->RunSlabs(slabs, [&](int64_t lo, int64_t hi, int tid) {
     for (int64_t i = lo; i < hi; ++i) {
-      Real3 sum{};
-      uint32_t non_zero = 0;
-      for (int t = 0; t < num_shards; ++t) {
-        const SoaStore::ForceShard& shard = shards.shard(t);
-        sum.x += shard.fx[i];
-        sum.y += shard.fy[i];
-        sum.z += shard.fz[i];
-        non_zero += shard.non_zero[i];
-      }
+      Real3 sum;
+      const uint32_t non_zero = shards_.Fold(static_cast<uint64_t>(i), &sum);
       if (non_zero == 0) {
         continue;  // untouched agent: no force, no wake condition
       }

@@ -1,9 +1,9 @@
-// Per-thread force accumulators for the pair-symmetric mechanics engine.
+// Generic pair source of the mechanics engine (physics/mechanics_fused_op.h).
 //
 // The interaction force is pairwise, radial, and Newton's-third-law
 // symmetric (physics/interaction_force.h), so the engine computes every
-// pairwise force ONCE -- via the environment's half-stencil pair traversal
-// -- and scatters +F into one endpoint and -F into the other. Because both
+// pairwise force ONCE -- via the environment's pair traversal -- and
+// scatters +F into one endpoint and -F into the other. Because both
 // endpoints of a pair can be owned by different traversal slabs, the
 // scatter targets per-thread SoA buffers indexed by the environment's dense
 // agent index; a slab-partitioned reduction (the diffusion engine's
@@ -12,11 +12,13 @@
 // the `non_zero_forces > 1` wake condition of static-agent detection
 // (Section 5 condition iv) per endpoint.
 //
-// The buffers themselves are SoaStore::ForceShards. When the caller passes
-// the ResourceManager's store shards (param.soa_primary), this class scatters
-// straight into them and keeps no copy of its own -- the pair engine and the
-// fused mechanics op then share one set of force buffers. Without a shared
-// set (A/B reference path, standalone benches) it falls back to an owned set.
+// This class is the source for what the fused fast path does not cover: any
+// environment (Environment::ForEachNeighborPair -- kd-tree, octree, or the
+// uniform grid with a radius beyond its box length) and any force (the
+// virtual InteractionForce::Calculate, e.g. type-dependent adhesion). It
+// scatters into a caller-owned shard set: the engine passes the store's
+// SoaStore::force_shards(), so both pair sources share one set of buffers;
+// tests and benches pass their own.
 #ifndef BDM_PHYSICS_PAIR_FORCE_ACCUMULATOR_H_
 #define BDM_PHYSICS_PAIR_FORCE_ACCUMULATOR_H_
 
@@ -34,17 +36,19 @@ class NumaThreadPool;
 
 class PairForceAccumulator {
  public:
+  /// `shards` is the scatter target; it must outlive this accumulator.
+  explicit PairForceAccumulator(SoaStore::ForceShards& shards)
+      : shards_(shards) {}
+
   /// Walks every interacting pair once (Environment::ForEachNeighborPair)
   /// and accumulates the pair force into both endpoints' slots of the
-  /// executing worker's shard. With `skip_static`, pairs whose endpoints
-  /// are BOTH static are skipped -- their force is provably unchanged and
+  /// traversal slab's shard. With `skip_static`, pairs whose endpoints are
+  /// BOTH static are skipped -- their force is provably unchanged and
   /// neither endpoint will be displaced (Section 5); a pair with one awake
   /// endpoint is still computed because the awake side needs the force.
-  /// `shared_shards`, when non-null, is scattered into instead of the owned
-  /// fallback set (one engine-wide buffer copy; see class comment).
   void Accumulate(const Environment& env, const InteractionForce& force,
-                  real_t squared_radius, bool skip_static, NumaThreadPool* pool,
-                  SoaStore::ForceShards* shared_shards = nullptr);
+                  real_t squared_radius, bool skip_static,
+                  NumaThreadPool* pool);
 
   /// Reduction callback: dense agent index, total force over all thread
   /// buffers, number of non-zero pair forces on this agent, worker id.
@@ -56,14 +60,9 @@ class PairForceAccumulator {
   /// `fn` for every agent that received at least one non-zero force.
   void Flush(NumaThreadPool* pool, FlushFn fn) const;
 
-  /// Dense index count covered by the last Accumulate.
-  uint64_t size() const { return size_; }
-
  private:
+  SoaStore::ForceShards& shards_;
   uint64_t size_ = 0;
-  /// Scatter target of the last Accumulate: `shared_shards` or `&owned_`.
-  SoaStore::ForceShards* active_ = nullptr;
-  SoaStore::ForceShards owned_;
 };
 
 }  // namespace bdm

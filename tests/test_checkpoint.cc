@@ -16,6 +16,7 @@
 #include "models/neuroscience.h"
 #include "neuro/neurite_element.h"
 #include "neuro/neuron_soma.h"
+#include "temp_path.h"
 
 namespace bdm {
 namespace {
@@ -32,7 +33,7 @@ Param SmallParam() {
 class CheckpointTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = "/tmp/bdm_checkpoint_test.bin";
+  std::string path_ = TempPath(".bin");
 };
 
 TEST_F(CheckpointTest, CellPopulationRoundTrip) {
@@ -172,7 +173,7 @@ TEST_F(CheckpointTest, LoadIntoNonEmptySimulationAppendsWithFreshUids) {
 
 TEST_F(CheckpointTest, MissingFileThrows) {
   Simulation sim("load", SmallParam());
-  EXPECT_THROW(io::Checkpoint::Load(&sim, "/tmp/does_not_exist.bdmckpt"),
+  EXPECT_THROW(io::Checkpoint::Load(&sim, TempPath(".bdmckpt")),
                std::runtime_error);
 }
 
@@ -188,7 +189,7 @@ TEST_F(CheckpointTest, CorruptMagicThrows) {
 class EveryModelCheckpoint : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(EveryModelCheckpoint, SaveLoadContinue) {
-  const std::string path = std::string("/tmp/bdm_ckpt_") + GetParam() + ".bin";
+  const std::string path = TempPath(std::string("_") + GetParam() + ".bin");
   const auto* info = models::FindModel(GetParam());
   ASSERT_NE(info, nullptr);
   Param param = SmallParam();

@@ -349,29 +349,20 @@ TEST(UniformGridTest, HugeSparseSpaceDoesNotOverflow) {
   EXPECT_EQ(found, 1);
 }
 
-// Footprint ownership after the SoA-primary store: in store mode the grid
-// owns only its successor links (geometry lives in the ResourceManager's
-// SoaStore, reported via soa/mirror_bytes -- ONE copy in the engine); in
-// legacy mode the grid still owns the full mirror.
+// Footprint ownership: the grid owns only its box array and successor
+// links; geometry lives in the ResourceManager's SoaStore, reported via
+// soa/mirror_bytes -- ONE copy in the engine.
 TEST(UniformGridTest, MemoryFootprintCoversSoAMirror) {
   EnvFixture fix;
   fix.AddRandomCells(1000, 100, 10, 41);
-  {
-    UniformGridEnvironment grid(fix.param_);
-    grid.Update(*fix.rm_, fix.pool_.get());
-    EXPECT_GE(grid.MemoryFootprint(),
-              fix.rm_->GetNumAgents() * sizeof(uint32_t));
-    const size_t store_per_agent =
-        sizeof(Agent*) + 4 * sizeof(real_t) + sizeof(uint8_t);
-    EXPECT_GE(fix.rm_->GetSoaStore().MemoryFootprintBytes(),
-              fix.rm_->GetNumAgents() * store_per_agent);
-  }
-  fix.param_.soa_primary = false;
-  UniformGridEnvironment legacy(fix.param_);
-  legacy.Update(*fix.rm_, fix.pool_.get());
-  const size_t per_agent =
-      sizeof(Agent*) + sizeof(uint32_t) + 4 * sizeof(real_t);
-  EXPECT_GE(legacy.MemoryFootprint(), fix.rm_->GetNumAgents() * per_agent);
+  UniformGridEnvironment grid(fix.param_);
+  grid.Update(*fix.rm_, fix.pool_.get());
+  EXPECT_GE(grid.MemoryFootprint(),
+            fix.rm_->GetNumAgents() * sizeof(uint32_t));
+  const size_t store_per_agent =
+      sizeof(Agent*) + 4 * sizeof(real_t) + sizeof(uint8_t);
+  EXPECT_GE(fix.rm_->GetSoaStore().MemoryFootprintBytes(),
+            fix.rm_->GetNumAgents() * store_per_agent);
 }
 
 TEST(UniformGridTest, MemoryFootprintGrowsWithAgents) {

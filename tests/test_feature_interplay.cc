@@ -4,7 +4,6 @@
 
 #include <cstdio>
 
-#include "accel/offload_displacement_op.h"
 #include "core/cell.h"
 #include "core/load_balance_op.h"
 #include "core/resource_manager.h"
@@ -15,6 +14,7 @@
 #include "io/time_series.h"
 #include "math/random.h"
 #include "models/common_behaviors.h"
+#include "temp_path.h"
 
 namespace bdm {
 namespace {
@@ -31,7 +31,7 @@ void AddRandomCells(Simulation* sim, int n, real_t space, uint64_t seed,
   }
 }
 
-TEST(FeatureInterplayTest, OffloadPlusSortingPlusAllocator) {
+TEST(FeatureInterplayTest, MechanicsPlusSortingPlusAllocator) {
   Param param;
   param.num_threads = 4;
   param.num_numa_domains = 2;
@@ -39,12 +39,9 @@ TEST(FeatureInterplayTest, OffloadPlusSortingPlusAllocator) {
   param.use_bdm_memory_manager = true;
   Simulation sim("combo", param);
   AddRandomCells(&sim, 400, 100, 1, /*with_growth=*/true);
-  sim.GetScheduler()->RemoveOp("mechanical_forces");
-  sim.GetScheduler()->AppendPostOp(
-      std::make_unique<accel::OffloadDisplacementOp>());
   sim.Simulate(20);
   // Population grew (divisions) and every uid still resolves after the
-  // sorting copies interleaved with offload scatters.
+  // sorting copies interleaved with the mechanics op's store write-backs.
   EXPECT_GT(sim.GetResourceManager()->GetNumAgents(), 400u);
   sim.GetResourceManager()->ForEachAgent([&](Agent* agent, AgentHandle h) {
     ASSERT_EQ(sim.GetResourceManager()->GetAgentHandle(agent->GetUid()), h);
@@ -66,7 +63,7 @@ TEST(FeatureInterplayTest, HilbertSortingInFullSimulation) {
 }
 
 TEST(FeatureInterplayTest, CheckpointAfterSortingRestoresConsistently) {
-  const std::string path = "/tmp/bdm_interplay_ckpt.bin";
+  const std::string path = TempPath(".bin");
   uint64_t saved = 0;
   {
     Param param;
@@ -103,6 +100,7 @@ TEST(FeatureInterplayTest, ExportAndTimeSeriesDuringSortedStaticRun) {
   param.use_bdm_memory_manager = true;
   Simulation sim("combo", param);
   AddRandomCells(&sim, 200, 120, 4);
+  const std::string prefix = TempPath("");
   io::TimeSeries series;
   series.AddCollector("static_fraction", [](Simulation* s) {
     uint64_t num_static = 0;
@@ -114,19 +112,19 @@ TEST(FeatureInterplayTest, ExportAndTimeSeriesDuringSortedStaticRun) {
   sim.GetScheduler()->AppendPostOp(
       std::make_unique<io::TimeSeriesOp>(&series, 1));
   sim.GetScheduler()->AppendPostOp(
-      std::make_unique<io::ExportOp>("/tmp/bdm_interplay", io::Format::kVtk, 10));
+      std::make_unique<io::ExportOp>(prefix, io::Format::kVtk, 10));
   sim.Simulate(20);
   ASSERT_EQ(series.NumSamples(), 20u);
   // Staticness flags survive the sorting copies: the fraction climbs as
   // the random packing relaxes.
   EXPECT_GT(series.Get("static_fraction").back(), 0.0);
-  std::remove("/tmp/bdm_interplay_0.vtk");
-  std::remove("/tmp/bdm_interplay_1.vtk");
+  std::remove((prefix + "_0.vtk").c_str());
+  std::remove((prefix + "_1.vtk").c_str());
 }
 
-TEST(FeatureInterplayTest, LoadBalanceOpHonorsOffloadPositions) {
-  // Sorting after offload displacements must index agents by their *new*
-  // positions (the op refreshes the grid itself).
+TEST(FeatureInterplayTest, LoadBalanceOpHonorsMechanicsPositions) {
+  // Sorting after the mechanics op's displacements must index agents by
+  // their *new* positions (the op refreshes the grid itself).
   Param param;
   param.num_threads = 2;
   param.num_numa_domains = 2;
@@ -134,13 +132,13 @@ TEST(FeatureInterplayTest, LoadBalanceOpHonorsOffloadPositions) {
   param.use_bdm_memory_manager = false;
   Simulation sim("combo", param);
   AddRandomCells(&sim, 300, 80, 5);
-  sim.GetScheduler()->RemoveOp("mechanical_forces");
-  sim.GetScheduler()->AppendPostOp(
-      std::make_unique<accel::OffloadDisplacementOp>());
   sim.Simulate(5);
   LoadBalanceOp op(1);
   op.Run(&sim);
   EXPECT_EQ(sim.GetResourceManager()->GetNumAgents(), 300u);
+  sim.GetResourceManager()->ForEachAgent([&](Agent* agent, AgentHandle h) {
+    ASSERT_EQ(sim.GetResourceManager()->GetAgentHandle(agent->GetUid()), h);
+  });
 }
 
 }  // namespace

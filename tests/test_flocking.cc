@@ -5,6 +5,7 @@
 #include "core/resource_manager.h"
 #include "core/simulation.h"
 #include "io/checkpoint.h"
+#include "temp_path.h"
 
 namespace bdm {
 namespace {
@@ -79,7 +80,7 @@ TEST(FlockingTest, SpeedStaysClamped) {
 }
 
 TEST(FlockingTest, CheckpointRoundTripKeepsVelocities) {
-  const std::string path = "/tmp/bdm_flock_ckpt.bin";
+  const std::string path = TempPath(".bin");
   real_t polarization_at_save = 0;
   {
     Simulation sim("flock", FlockParam());

@@ -11,6 +11,7 @@
 #include "io/exporter.h"
 #include "io/time_series.h"
 #include "models/epidemiology.h"
+#include "temp_path.h"
 
 namespace bdm {
 namespace {
@@ -56,7 +57,7 @@ TEST_F(IoTest, CsvExportContainsEveryAgent) {
     cell->SetCellType(i % 2);
     sim.GetResourceManager()->AddAgent(cell);
   }
-  const std::string path = "/tmp/bdm_io_test.csv";
+  const std::string path = TempPath(".csv");
   cleanup_.push_back(path);
   io::ExportCsv(&sim, path);
   const std::string content = ReadFile(path);
@@ -71,7 +72,7 @@ TEST_F(IoTest, VtkExportIsWellFormed) {
     sim.GetResourceManager()->AddAgent(
         new Cell({static_cast<real_t>(i) * 10, 0, 0}, 8));
   }
-  const std::string path = "/tmp/bdm_io_test.vtk";
+  const std::string path = TempPath(".vtk");
   cleanup_.push_back(path);
   io::ExportVtk(&sim, path);
   const std::string content = ReadFile(path);
@@ -85,16 +86,17 @@ TEST_F(IoTest, VtkExportIsWellFormed) {
 TEST_F(IoTest, ExportOpWritesAtConfiguredFrequency) {
   Simulation sim("io", SmallParam());
   sim.GetResourceManager()->AddAgent(new Cell({0, 0, 0}, 10));
+  const std::string prefix = TempPath("");
   sim.GetScheduler()->AppendPostOp(
-      std::make_unique<io::ExportOp>("/tmp/bdm_snap", io::Format::kCsv, 2));
+      std::make_unique<io::ExportOp>(prefix, io::Format::kCsv, 2));
   sim.Simulate(5);  // due at iterations 0, 2, 4
   for (int i = 0; i < 3; ++i) {
-    const std::string path = "/tmp/bdm_snap_" + std::to_string(i) + ".csv";
+    const std::string path = prefix + "_" + std::to_string(i) + ".csv";
     cleanup_.push_back(path);
     std::ifstream in(path);
     EXPECT_TRUE(in.good()) << path;
   }
-  EXPECT_FALSE(std::ifstream("/tmp/bdm_snap_3.csv").good());
+  EXPECT_FALSE(std::ifstream(prefix + "_3.csv").good());
 }
 
 TEST(TimeSeriesTest, CollectsRegisteredObservables) {
@@ -142,7 +144,7 @@ TEST(TimeSeriesTest, CsvRoundTrip) {
   series.AddCollector("tick", [&](Simulation*) { return real_t(tick++); });
   series.Sample(nullptr);
   series.Sample(nullptr);
-  const std::string path = "/tmp/bdm_ts_test.csv";
+  const std::string path = TempPath(".csv");
   series.WriteCsv(path);
   std::ifstream in(path);
   std::string header, row0, row1;

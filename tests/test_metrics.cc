@@ -20,6 +20,7 @@
 #include "models/cell_proliferation.h"
 #include "obs/trace.h"
 #include "sched/numa_thread_pool.h"
+#include "temp_path.h"
 
 namespace bdm {
 namespace {
@@ -178,7 +179,7 @@ TEST(MetricsSchedulerTest, HotPathCountersMoveDuringASimulation) {
 
 TEST(MetricsSchedulerTest, DumpObservabilityWritesSummaryJson) {
   FreshRegistry();
-  const std::string path = ::testing::TempDir() + "obs_dump.json";
+  const std::string path = TempPath(".json");
   {
     Simulation sim("metrics_dump", SmallSimParam());
     models::proliferation::Config config;
@@ -247,7 +248,7 @@ size_t CountOccurrences(const std::string& text, const std::string& needle) {
 
 TEST(TraceExportTest, BdmTraceProducesWellFormedChromeJson) {
   FreshRegistry();
-  const std::string path = ::testing::TempDir() + "bdm_test.trace.json";
+  const std::string path = TempPath(".trace.json");
   setenv("BDM_TRACE", path.c_str(), 1);
   {
     Simulation sim("trace_test", SmallSimParam());

@@ -25,6 +25,7 @@
 #include "models/common_behaviors.h"
 #include "obs/trace.h"
 #include "sched/numa_thread_pool.h"
+#include "temp_path.h"
 
 namespace bdm {
 namespace {
@@ -457,7 +458,7 @@ bool JsonBalanced(const std::string& text) {
 }
 
 TEST(DagTraceTest, DagModeTraceIsWellFormedAndNamesLaneTracks) {
-  const std::string path = ::testing::TempDir() + "bdm_dag.trace.json";
+  const std::string path = TempPath(".trace.json");
   setenv("BDM_TRACE", path.c_str(), 1);
   {
     Param param = DagParam(4, true);

@@ -1,8 +1,10 @@
 // Pair-symmetric mechanics engine tests: momentum conservation of the
 // +F/-F scatter, exact agreement of the non-zero-force counts with the
 // per-agent reference path, full-simulation equivalence of the two engines
-// across all three environments and the static-detection toggle, and a
-// concurrency check over the per-thread accumulators (ctest label `tsan`).
+// across all three environments and the static-detection toggle, a
+// concurrency check over the per-thread accumulators (ctest label `tsan`),
+// and the default mechanics op on tiny scenes (isolated pair, symmetric
+// pair update, empty simulation).
 #include "physics/pair_force_accumulator.h"
 
 #include <gtest/gtest.h>
@@ -116,7 +118,8 @@ class PairForceTest : public ::testing::Test {
   InteractionForce force_;
   std::unique_ptr<NumaThreadPool> pool_;
   std::unique_ptr<ResourceManager> rm_;
-  PairForceAccumulator accumulator_;
+  SoaStore::ForceShards shards_;
+  PairForceAccumulator accumulator_{shards_};
 };
 
 TEST_F(PairForceTest, MomentumIsConserved) {
@@ -197,7 +200,8 @@ TEST_F(PairForceTest, ConcurrentAccumulationMatchesSerial) {
   auto serial_pool = std::make_unique<NumaThreadPool>(Topology(1, 1));
   UniformGridEnvironment serial_grid(param_);
   serial_grid.Update(*rm_, serial_pool.get());
-  PairForceAccumulator serial_acc;
+  SoaStore::ForceShards serial_shards;
+  PairForceAccumulator serial_acc(serial_shards);
   const real_t radius = serial_grid.GetInteractionRadius();
   serial_acc.Accumulate(serial_grid, force_, radius * radius, false,
                         serial_pool.get());
@@ -323,6 +327,58 @@ TEST(PairEngineScheduling, PairOpAnswersToMechanicalForcesName) {
   EXPECT_NE(sim.GetScheduler()->GetOp("mechanical_forces"), nullptr);
   EXPECT_TRUE(sim.GetScheduler()->RemoveOp("mechanical_forces"));
   EXPECT_EQ(sim.GetScheduler()->GetOp("mechanical_forces"), nullptr);
+}
+
+// --- the default mechanics op on tiny scenes ---------------------------------
+
+Param TwoThreadParam() {
+  Param param;
+  param.num_threads = 2;
+  param.num_numa_domains = 1;
+  param.agent_sort_frequency = 0;
+  param.use_bdm_memory_manager = false;
+  return param;
+}
+
+TEST(MechanicsOpTest, IsolatedPairMovesByInteractionForce) {
+  // One step on an isolated overlapping pair: the displacement must be
+  // exactly the scalar InteractionForce times dt / viscosity.
+  Simulation sim("mechanics_pair", TwoThreadParam());
+  auto* a = new Cell({0, 0, 0}, 10);
+  auto* b = new Cell({8, 0, 0}, 10);
+  sim.GetResourceManager()->AddAgent(a);
+  sim.GetResourceManager()->AddAgent(b);
+  const Real3 expected_force =
+      sim.GetInteractionForce()->Calculate(a, b);  // before anything moves
+  ASSERT_GT(expected_force.SquaredNorm(), 0);
+  const Param& param = sim.GetParam();
+  const Real3 expected_displacement =
+      expected_force * (param.dt / param.viscosity);
+  const Real3 a_before = a->GetPosition();
+  sim.Simulate(1);
+  const Real3 moved = a->GetPosition() - a_before;
+  EXPECT_NEAR(moved.x, expected_displacement.x, 1e-12);
+  EXPECT_NEAR(moved.y, expected_displacement.y, 1e-12);
+  EXPECT_NEAR(moved.z, expected_displacement.z, 1e-12);
+}
+
+TEST(MechanicsOpTest, PairUpdateIsSymmetric) {
+  // Every force of an iteration is computed from the same snapshot (a
+  // Jacobi update), so a symmetric pair moves symmetrically.
+  Simulation sim("mechanics_pair", TwoThreadParam());
+  auto* a = new Cell({0, 0, 0}, 10);
+  auto* b = new Cell({8, 0, 0}, 10);
+  sim.GetResourceManager()->AddAgent(a);
+  sim.GetResourceManager()->AddAgent(b);
+  sim.Simulate(1);
+  EXPECT_LT(a->GetPosition().x, 0);  // the overlapping pair separated
+  EXPECT_NEAR(a->GetPosition().x + b->GetPosition().x, 8.0, 1e-12);
+}
+
+TEST(MechanicsOpTest, EmptySimulationIsSafe) {
+  Simulation sim("mechanics_empty", TwoThreadParam());
+  sim.Simulate(3);
+  EXPECT_EQ(sim.GetResourceManager()->GetNumAgents(), 0u);
 }
 
 }  // namespace

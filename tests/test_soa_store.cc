@@ -1,8 +1,8 @@
 // SoaStore correctness (ISSUE 6): incremental-update equivalence under
 // add/remove churn (the commit-mirror protocol must track what a fresh
-// gather would produce, WITHOUT full rebuilds), bitwise trajectory equality
-// of the fused mechanics engine against the sequential reference across all
-// environments, store-vs-grid audit violations being loud, and a
+// gather would produce, WITHOUT full rebuilds), bitwise trajectory and O6
+// counter equality of the mechanics engine's fast and generic pair sources,
+// store-vs-grid audit violations being loud, and a
 // multi-threaded pipeline run for the tsan build (this file is listed in
 // BDM_TSAN_TESTS).
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "env/uniform_grid.h"
 #include "math/random.h"
 #include "obs/metrics.h"
+#include "physics/interaction_force.h"
 
 namespace bdm {
 namespace {
@@ -229,7 +230,7 @@ TEST(SoaStoreAudit, StoreGridCountDisagreementIsLoud) {
   EXPECT_GT(Counter("audit.store_mismatches"), mismatches_before);
 }
 
-// --- fused engine vs sequential reference ------------------------------------
+// --- fast vs generic pair source ---------------------------------------------
 
 std::map<AgentUid, Real3> Snapshot(Simulation* sim) {
   std::map<AgentUid, Real3> result;
@@ -239,30 +240,66 @@ std::map<AgentUid, Real3> Snapshot(Simulation* sim) {
   return result;
 }
 
-/// One relaxation run. Single-threaded on purpose: with one worker the
-/// grid's CAS insert order -- and with it every pair-enumeration and force-
-/// summation order -- is deterministic, which is what makes the fused-vs-
-/// reference comparison BITWISE instead of tolerance-based.
-std::map<AgentUid, Real3> RunRelaxation(EnvironmentType environment,
-                                        bool soa_primary, bool detect_static,
-                                        int iterations) {
+/// Pass-through subclass with the base force's physics: its typeid routes
+/// MechanicsFusedOp to the generic pair source (PairForceAccumulator over
+/// Environment::ForEachNeighborPair with the virtual Calculate) on the
+/// uniform grid, where the base force takes the fast source.
+struct PlainForce : InteractionForce {};
+
+/// Weakly touching dimers and trimers beside the random cluster: their
+/// overlap force is non-zero but below the force threshold, so they never
+/// move and O6 marks them static. Dimers then exercise the both-static pair
+/// skip; trimer ends (their middle agent stays awake -- two non-zero
+/// forces) exercise the static agent skip.
+void AddStaticIslands(ResourceManager* rm) {
+  const real_t spacing = 10 - 1e-7;  // overlap 1e-7: |F| = 2e-7
+  for (int k = 0; k < 8; ++k) {
+    const Real3 origin{200, real_t{30} * k, 0};
+    for (int m = 0; m < 2 + k % 2; ++m) {
+      rm->AddAgent(new Cell(origin + Real3{spacing * m, 0, 0}, 10));
+    }
+  }
+}
+
+struct RelaxationRun {
+  std::map<AgentUid, Real3> positions;
+  uint64_t static_agent_skips = 0;
+  uint64_t static_pair_skips = 0;
+};
+
+/// One relaxation run on the uniform grid. Single-threaded on purpose: with
+/// one worker the grid's CAS insert order -- and with it every
+/// pair-enumeration and force-summation order -- is deterministic, which is
+/// what makes the fast-vs-generic comparison BITWISE instead of
+/// tolerance-based.
+RelaxationRun RunRelaxation(bool generic_source, bool detect_static,
+                            int iterations) {
   Param param;
-  param.environment = environment;
+  param.environment = EnvironmentType::kUniformGrid;
   param.num_threads = 1;
   param.num_numa_domains = 1;
   param.agent_sort_frequency = 0;
   param.use_bdm_memory_manager = false;
   param.pair_symmetric_forces = true;
-  param.soa_primary = soa_primary;
   param.detect_static_agents = detect_static;
-  Simulation sim(soa_primary ? "soa_fused" : "soa_reference", param);
+  Simulation sim(generic_source ? "pair_generic" : "pair_fast", param);
+  if (generic_source) {
+    sim.SetInteractionForce(std::make_unique<PlainForce>());
+  }
   Random random(23);
   for (int i = 0; i < 300; ++i) {
     sim.GetResourceManager()->AddAgent(
         new Cell(random.UniformPoint(0, 90), 10));
   }
+  AddStaticIslands(sim.GetResourceManager());
+  const uint64_t agent_skips = Counter("forces.static_agent_skips");
+  const uint64_t pair_skips = Counter("forces.static_pair_skips");
   sim.Simulate(iterations);
-  return Snapshot(&sim);
+  RelaxationRun run;
+  run.positions = Snapshot(&sim);
+  run.static_agent_skips = Counter("forces.static_agent_skips") - agent_skips;
+  run.static_pair_skips = Counter("forces.static_pair_skips") - pair_skips;
+  return run;
 }
 
 void ExpectBitwiseTrajectories(const std::map<AgentUid, Real3>& a,
@@ -272,7 +309,7 @@ void ExpectBitwiseTrajectories(const std::map<AgentUid, Real3>& a,
   bool moved = false;
   for (const auto& [uid, pos] : a) {
     ASSERT_EQ(uid, it->first);
-    // Exact comparison -- the fused engine's contract is bitwise equality,
+    // Exact comparison -- the two sources' contract is bitwise equality,
     // not closeness (physics/force_kernel.h documents every grouping).
     EXPECT_EQ(pos.x, it->second.x) << uid;
     EXPECT_EQ(pos.y, it->second.y) << uid;
@@ -283,32 +320,27 @@ void ExpectBitwiseTrajectories(const std::map<AgentUid, Real3>& a,
   EXPECT_TRUE(moved);  // the scene actually relaxed
 }
 
-struct FusedCase {
-  EnvironmentType environment;
-  bool detect_static;
-};
+class PairSourceBitwise : public ::testing::TestWithParam<bool> {};
 
-class FusedEngineBitwise : public ::testing::TestWithParam<FusedCase> {};
-
-TEST_P(FusedEngineBitwise, MatchesSequentialReferenceTrajectories) {
-  const auto reference = RunRelaxation(GetParam().environment,
-                                       /*soa_primary=*/false,
-                                       GetParam().detect_static, 20);
-  const auto fused = RunRelaxation(GetParam().environment,
-                                   /*soa_primary=*/true,
-                                   GetParam().detect_static, 20);
-  ExpectBitwiseTrajectories(reference, fused);
+TEST_P(PairSourceBitwise, FastSourceMatchesGenericSource) {
+  const bool detect_static = GetParam();
+  const RelaxationRun generic =
+      RunRelaxation(/*generic_source=*/true, detect_static, 20);
+  const RelaxationRun fast =
+      RunRelaxation(/*generic_source=*/false, detect_static, 20);
+  ExpectBitwiseTrajectories(generic.positions, fast.positions);
+  // Both sources feed the same O6 counters through the one ladder.
+  EXPECT_EQ(generic.static_agent_skips, fast.static_agent_skips);
+  EXPECT_EQ(generic.static_pair_skips, fast.static_pair_skips);
+  if (detect_static && MetricsRegistry::Enabled()) {
+    // O6 actually engaged on both skip paths.
+    EXPECT_GT(fast.static_agent_skips, 0u);
+    EXPECT_GT(fast.static_pair_skips, 0u);
+  }
 }
 
-// kd-tree/octree take MechanicsFusedOp's fallback route (no uniform grid):
-// bitwise equality there certifies that soa_primary changes NOTHING when
-// the fast path does not apply.
-INSTANTIATE_TEST_SUITE_P(
-    Environments, FusedEngineBitwise,
-    ::testing::Values(FusedCase{EnvironmentType::kUniformGrid, false},
-                      FusedCase{EnvironmentType::kUniformGrid, true},
-                      FusedCase{EnvironmentType::kKdTree, false},
-                      FusedCase{EnvironmentType::kOctree, false}));
+INSTANTIATE_TEST_SUITE_P(StaticDetection, PairSourceBitwise,
+                         ::testing::Bool());
 
 // --- concurrent pipeline (tsan) ----------------------------------------------
 
@@ -344,7 +376,6 @@ TEST(SoaStoreConcurrency, ThreadedPipelineStaysAuditClean) {
   param.num_numa_domains = 2;
   param.parallel_commit = true;
   param.use_bdm_memory_manager = false;
-  param.soa_primary = true;
   param.detect_static_agents = true;
   param.audit_interval = 1;  // store <-> uid-map <-> grid agreement per step
   Simulation sim("soa_threaded", param);
