@@ -3,12 +3,14 @@
 // per-agent reference path, full-simulation equivalence of the two engines
 // across all three environments and the static-detection toggle, a
 // concurrency check over the per-thread accumulators (ctest label `tsan`),
-// and the default mechanics op on tiny scenes (isolated pair, symmetric
-// pair update, empty simulation).
+// and the default mechanics op on small scenes (isolated pair, symmetric
+// pair update, relaxation against the per-agent op, the per-agent fallback
+// for custom-mechanics agents, empty simulation).
 #include "physics/pair_force_accumulator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "env/octree.h"
 #include "env/uniform_grid.h"
 #include "math/random.h"
+#include "models/neuroscience.h"
 #include "physics/interaction_force.h"
 
 namespace bdm {
@@ -373,6 +376,65 @@ TEST(MechanicsOpTest, PairUpdateIsSymmetric) {
   sim.Simulate(1);
   EXPECT_LT(a->GetPosition().x, 0);  // the overlapping pair separated
   EXPECT_NEAR(a->GetPosition().x + b->GetPosition().x, 8.0, 1e-12);
+}
+
+TEST(MechanicsOpTest, OverlappingPairSeparates) {
+  Simulation sim("mechanics_pair", TwoThreadParam());
+  auto* a = new Cell({0, 0, 0}, 10);
+  auto* b = new Cell({6, 0, 0}, 10);
+  sim.GetResourceManager()->AddAgent(a);
+  sim.GetResourceManager()->AddAgent(b);
+  const real_t gap_before = a->GetPosition().Distance(b->GetPosition());
+  sim.Simulate(20);
+  const real_t gap_after = a->GetPosition().Distance(b->GetPosition());
+  EXPECT_GT(gap_after, gap_before);
+}
+
+TEST(MechanicsOpTest, RelaxationMatchesPerAgentOpQualitatively) {
+  // The pair engine (Jacobi) and the per-agent MechanicalForcesOp
+  // (Gauss-Seidel) must reach the same equilibrium structure: comparable
+  // residual overlap after enough iterations.
+  auto run = [](bool pair_symmetric) {
+    Param param = TwoThreadParam();
+    param.pair_symmetric_forces = pair_symmetric;
+    Simulation sim("mechanics_relax", param);
+    Random init(5);
+    auto* rm = sim.GetResourceManager();
+    for (int i = 0; i < 100; ++i) {
+      rm->AddAgent(new Cell(init.UniformPoint(0, 60), 10));
+    }
+    sim.Simulate(300);
+    real_t worst = 0;
+    rm->ForEachAgent([&](Agent* x, AgentHandle) {
+      rm->ForEachAgent([&](Agent* y, AgentHandle) {
+        if (x == y) {
+          return;
+        }
+        const real_t d = x->GetPosition().Distance(y->GetPosition());
+        worst = std::max(worst, (x->GetDiameter() + y->GetDiameter()) / 2 - d);
+      });
+    });
+    return worst;
+  };
+  const real_t per_agent_overlap = run(false);
+  const real_t pair_overlap = run(true);
+  EXPECT_NEAR(pair_overlap, per_agent_overlap, 2.0);
+}
+
+TEST(MechanicsOpTest, CustomMechanicsPopulationFallsBack) {
+  // A neuroscience population contains neurite elements with custom
+  // mechanics; the default op must take the per-agent path for them and
+  // still advance the simulation.
+  Simulation sim("mechanics_neurons", TwoThreadParam());
+  models::neuroscience::Config config;
+  config.num_neurons = 4;
+  config.with_substance = false;
+  models::neuroscience::Build(&sim, config);
+  const auto before = models::neuroscience::ComputeTreeStats(&sim);
+  sim.Simulate(40);
+  const auto after = models::neuroscience::ComputeTreeStats(&sim);
+  EXPECT_GT(sim.GetResourceManager()->GetNumCustomMechanicsAgents(), 0);
+  EXPECT_GT(after.elements, before.elements);
 }
 
 TEST(MechanicsOpTest, EmptySimulationIsSafe) {

@@ -1,7 +1,8 @@
 // SoaStore correctness (ISSUE 6): incremental-update equivalence under
 // add/remove churn (the commit-mirror protocol must track what a fresh
 // gather would produce, WITHOUT full rebuilds), bitwise trajectory and O6
-// counter equality of the mechanics engine's fast and generic pair sources,
+// counter equality of the mechanics engine's fast and generic pair sources
+// (and of the generic source under a force subclass on kd-tree/octree),
 // store-vs-grid audit violations being loud, and a
 // multi-threaded pipeline run for the tsan build (this file is listed in
 // BDM_TSAN_TESTS).
@@ -267,15 +268,16 @@ struct RelaxationRun {
   uint64_t static_pair_skips = 0;
 };
 
-/// One relaxation run on the uniform grid. Single-threaded on purpose: with
-/// one worker the grid's CAS insert order -- and with it every
-/// pair-enumeration and force-summation order -- is deterministic, which is
-/// what makes the fast-vs-generic comparison BITWISE instead of
-/// tolerance-based.
-RelaxationRun RunRelaxation(bool generic_source, bool detect_static,
-                            int iterations) {
+/// One relaxation run. Single-threaded on purpose: with one worker the
+/// grid's CAS insert order -- and with it every pair-enumeration and
+/// force-summation order -- is deterministic, which is what makes the
+/// fast-vs-generic comparison BITWISE instead of tolerance-based.
+/// `generic_source` installs PlainForce, which takes the generic source on
+/// every environment.
+RelaxationRun RunRelaxation(EnvironmentType environment, bool generic_source,
+                            bool detect_static, int iterations) {
   Param param;
-  param.environment = EnvironmentType::kUniformGrid;
+  param.environment = environment;
   param.num_threads = 1;
   param.num_numa_domains = 1;
   param.agent_sort_frequency = 0;
@@ -325,9 +327,11 @@ class PairSourceBitwise : public ::testing::TestWithParam<bool> {};
 TEST_P(PairSourceBitwise, FastSourceMatchesGenericSource) {
   const bool detect_static = GetParam();
   const RelaxationRun generic =
-      RunRelaxation(/*generic_source=*/true, detect_static, 20);
+      RunRelaxation(EnvironmentType::kUniformGrid, /*generic_source=*/true,
+                    detect_static, 20);
   const RelaxationRun fast =
-      RunRelaxation(/*generic_source=*/false, detect_static, 20);
+      RunRelaxation(EnvironmentType::kUniformGrid, /*generic_source=*/false,
+                    detect_static, 20);
   ExpectBitwiseTrajectories(generic.positions, fast.positions);
   // Both sources feed the same O6 counters through the one ladder.
   EXPECT_EQ(generic.static_agent_skips, fast.static_agent_skips);
@@ -341,6 +345,33 @@ TEST_P(PairSourceBitwise, FastSourceMatchesGenericSource) {
 
 INSTANTIATE_TEST_SUITE_P(StaticDetection, PairSourceBitwise,
                          ::testing::Bool());
+
+// kd-tree and octree keep no store index, so the fast source never applies:
+// the base force and PlainForce both take the generic source and must agree
+// bitwise, and O6 must engage on both skip paths there too.
+class GenericSourceOffGrid
+    : public ::testing::TestWithParam<EnvironmentType> {};
+
+TEST_P(GenericSourceOffGrid, ForceSubclassChangesNothing) {
+  const RelaxationRun base = RunRelaxation(
+      GetParam(), /*generic_source=*/false, /*detect_static=*/true, 20);
+  const RelaxationRun plain = RunRelaxation(
+      GetParam(), /*generic_source=*/true, /*detect_static=*/true, 20);
+  ExpectBitwiseTrajectories(base.positions, plain.positions);
+  EXPECT_EQ(base.static_agent_skips, plain.static_agent_skips);
+  EXPECT_EQ(base.static_pair_skips, plain.static_pair_skips);
+  if (MetricsRegistry::Enabled()) {
+    EXPECT_GT(base.static_agent_skips, 0u);
+    EXPECT_GT(base.static_pair_skips, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Environments, GenericSourceOffGrid,
+    ::testing::Values(EnvironmentType::kKdTree, EnvironmentType::kOctree),
+    [](const ::testing::TestParamInfo<EnvironmentType>& info) {
+      return info.param == EnvironmentType::kKdTree ? "KdTree" : "Octree";
+    });
 
 // --- concurrent pipeline (tsan) ----------------------------------------------
 
